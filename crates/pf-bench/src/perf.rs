@@ -941,8 +941,7 @@ pub fn markdown_summary(report: &PerfReport, baseline: Option<&Baseline>) -> Str
 /// Propagates engine construction and correlation errors.
 pub fn stage_breakdown(smoke: bool) -> Result<Vec<StageRecord>, PfError> {
     use pf_jtc::{JtcEngine, JtcEngineConfig, StageTimes};
-    use pf_telemetry::Telemetry;
-    use pf_tiling::PreparedConv1d;
+    use pf_telemetry::{StageAcc, Telemetry};
 
     let iters = if smoke { 64 } else { 512 };
     let signal: Vec<f64> = (0..256).map(|i| (i as f64 * 0.17).sin() + 0.4).collect();
@@ -984,14 +983,20 @@ pub fn stage_breakdown(smoke: bool) -> Result<Vec<StageRecord>, PfError> {
                 BackendKind::Digital => unreachable!("digital handled above"),
             };
             let engine = JtcEngine::new(config)?;
-            let prep = engine.prepare(&tiled_kernel, 256)?;
+            let prep = engine
+                .prepare_kernel(&tiled_kernel, 256)
+                .expect("JTC engines prepare kernels");
             // Single source of truth: the traced hot path accumulates into
             // the telemetry stage registry and the breakdown is *derived*
             // from those totals, so this harness reports exactly what the
             // serving stack's stage counters see (no second set of books).
+            // The correlation runs through the engine, as the executor runs
+            // it, so the CG row includes the engine's sensing noise.
             let tel = Telemetry::with_span_capacity(0);
             for _ in 0..iters {
-                let _ = prep.correlate_valid_traced(&signal, &tel);
+                let mut acc = StageAcc::start();
+                let _ = engine.run_prepared(&*prep, None, &signal, Some(&mut acc));
+                acc.flush(&tel);
             }
             let times = StageTimes::from_totals(&tel.stage_totals());
             let total = times.total().as_secs_f64().max(1e-12);
@@ -1037,15 +1042,11 @@ pub fn run_suite(smoke: bool, with_stages: bool) -> Result<PerfReport, PfError> 
             multi_kernels,
         )?,
         inference_scenario(BackendKind::JtcIdeal, infer_batch, infer_reps)?,
+        inference_scenario(BackendKind::PhotofourierCg, infer_batch, infer_reps)?,
     ];
     if !smoke {
         results.push(inference_scenario(
             BackendKind::Digital,
-            infer_batch,
-            infer_reps,
-        )?);
-        results.push(inference_scenario(
-            BackendKind::PhotofourierCg,
             infer_batch,
             infer_reps,
         )?);

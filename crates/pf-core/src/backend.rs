@@ -12,7 +12,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pf_jtc::{JtcEngine, JtcEngineConfig};
-use pf_tiling::{Conv1dEngine, DigitalEngine, PreparedConv1d};
+use pf_tiling::{Conv1dEngine, DigitalEngine, PreparedConv1d, PreparedSignal, StageAcc};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PfError;
@@ -142,18 +142,6 @@ impl BackendSpec {
     /// Returns [`PfError::InvalidScenario`] for a zero capacity, or
     /// propagates engine construction errors.
     pub fn instantiate(&self) -> Result<Box<dyn Backend>, PfError> {
-        self.instantiate_seeded(0)
-    }
-
-    /// Instantiates the backend with an explicit noise seed (ignored by
-    /// deterministic substrates). Used for reproducible parallel dispatch:
-    /// one independently-seeded engine per work item keeps stochastic
-    /// backends deterministic regardless of thread interleaving.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`BackendSpec::instantiate`].
-    pub fn instantiate_seeded(&self, noise_seed: u64) -> Result<Box<dyn Backend>, PfError> {
         if self.capacity == 0 {
             return Err(PfError::invalid_scenario(
                 "backend capacity must be at least 1",
@@ -162,17 +150,7 @@ impl BackendSpec {
         match self.kind {
             BackendKind::Digital => Ok(<dyn Backend>::digital()),
             BackendKind::JtcIdeal => <dyn Backend>::jtc_ideal(self.capacity),
-            BackendKind::PhotofourierCg => {
-                let config = JtcEngineConfig {
-                    noise_seed,
-                    ..JtcEngineConfig::photofourier_cg(self.capacity)
-                };
-                let engine = JtcEngine::new(config)?;
-                Ok(Box::new(JtcBackend {
-                    engine,
-                    kind: BackendKind::PhotofourierCg,
-                }))
-            }
+            BackendKind::PhotofourierCg => <dyn Backend>::photofourier_cg(self.capacity),
         }
     }
 }
@@ -202,6 +180,18 @@ pub trait Backend: Conv1dEngine + Send + Sync {
     /// clones draw from one sequence in call order — so cloning never
     /// duplicates or resets noise state.
     fn clone_box(&self) -> Box<dyn Backend>;
+
+    /// A copy of the backend whose noise stream starts afresh under
+    /// `noise_seed`: the same as instantiating it with that seed, at the
+    /// cost of a clone. One independently seeded copy per work item keeps
+    /// stochastic backends deterministic regardless of thread
+    /// interleaving. The copy shares no state with `self` and prepares
+    /// exactly the kernels `self` prepares, so it can run on a
+    /// prepared-kernel cache `self` filled
+    /// ([`pf_tiling::TiledConvolver::with_engine`]). Deterministic
+    /// substrates return a plain clone. Required, not defaulted: a wrapper
+    /// that forgot to forward it would silently share one stream.
+    fn reseeded(&self, noise_seed: u64) -> Box<dyn Backend>;
 
     /// The capacity the backend was instantiated with, if bounded.
     fn capacity(&self) -> Option<usize> {
@@ -295,6 +285,16 @@ impl Conv1dEngine for Box<dyn Backend> {
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         (**self).prepare_kernel(kernel, signal_len)
     }
+
+    fn run_prepared(
+        &self,
+        prepared: &dyn PreparedConv1d,
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        (**self).run_prepared(prepared, shared, signal, acc)
+    }
 }
 
 /// [`Backend`] wrapper around the exact digital reference.
@@ -321,6 +321,10 @@ impl Backend for DigitalBackend {
     }
 
     fn clone_box(&self) -> Box<dyn Backend> {
+        Box::new(*self)
+    }
+
+    fn reseeded(&self, _noise_seed: u64) -> Box<dyn Backend> {
         Box::new(*self)
     }
 }
@@ -356,6 +360,16 @@ impl Conv1dEngine for JtcBackend {
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         self.engine.prepare_kernel(kernel, signal_len)
     }
+
+    fn run_prepared(
+        &self,
+        prepared: &dyn PreparedConv1d,
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        self.engine.run_prepared(prepared, shared, signal, acc)
+    }
 }
 
 impl Backend for JtcBackend {
@@ -365,6 +379,13 @@ impl Backend for JtcBackend {
 
     fn clone_box(&self) -> Box<dyn Backend> {
         Box::new(self.clone())
+    }
+
+    fn reseeded(&self, noise_seed: u64) -> Box<dyn Backend> {
+        Box::new(JtcBackend {
+            engine: self.engine.reseeded(noise_seed),
+            kind: self.kind,
+        })
     }
 }
 
@@ -399,25 +420,89 @@ mod tests {
         assert!(BackendKind::from_value(&Value::Str("quantum".into())).is_err());
     }
 
+    /// The CG chain built directly with `noise_seed`, as the reference a
+    /// reseeded backend must replay.
+    fn cg_engine(capacity: usize, noise_seed: u64) -> JtcEngine {
+        JtcEngine::new(JtcEngineConfig {
+            noise_seed,
+            ..JtcEngineConfig::photofourier_cg(capacity)
+        })
+        .unwrap()
+    }
+
     #[test]
-    fn seeded_instantiation_controls_the_noise_stream() {
-        let spec = BackendSpec::photofourier_cg(64);
+    fn reseeding_controls_the_noise_stream() {
+        // Box<dyn Backend> → JtcBackend → JtcEngine: a reseeded copy must
+        // draw exactly the stream of an engine built with that seed, and
+        // must not advance the original.
         let signal: Vec<f64> = (0..32).map(|i| ((i as f64) * 0.3).sin() + 1.0).collect();
         let kernel = vec![0.2, 0.4, 0.2];
-        let a = spec
-            .instantiate_seeded(1)
-            .unwrap()
-            .correlate_valid(&signal, &kernel);
-        let b = spec
-            .instantiate_seeded(1)
-            .unwrap()
-            .correlate_valid(&signal, &kernel);
-        let c = spec
-            .instantiate_seeded(2)
-            .unwrap()
-            .correlate_valid(&signal, &kernel);
-        assert_eq!(a, b, "same seed must reproduce the same noise");
-        assert_ne!(a, c, "different seeds must differ");
+        let base = BackendSpec::photofourier_cg(64).instantiate().unwrap();
+        let a = base.reseeded(1);
+        let b = base.reseeded(1);
+        let c = base.reseeded(2);
+        assert_eq!(a.kind(), BackendKind::PhotofourierCg);
+        let reference = cg_engine(64, 1);
+        for _ in 0..3 {
+            let out = a.correlate_valid(&signal, &kernel);
+            assert_eq!(
+                out,
+                b.correlate_valid(&signal, &kernel),
+                "same seed, same noise"
+            );
+            assert_eq!(out, reference.correlate_valid(&signal, &kernel));
+            assert_ne!(out, c.correlate_valid(&signal, &kernel), "seeds differ");
+        }
+        assert_eq!(
+            base.correlate_valid(&signal, &kernel),
+            cg_engine(64, 0).correlate_valid(&signal, &kernel),
+            "reseeding left the original alone"
+        );
+
+        // Deterministic substrates ignore the seed.
+        for backend in [
+            <dyn Backend>::digital(),
+            <dyn Backend>::jtc_ideal(64).unwrap(),
+        ] {
+            let copy = backend.reseeded(9);
+            assert_eq!(copy.id(), backend.id());
+            assert_eq!(
+                copy.correlate_valid(&signal, &kernel),
+                backend.correlate_valid(&signal, &kernel)
+            );
+        }
+    }
+
+    #[test]
+    fn boxed_backend_forwards_run_prepared_to_the_running_engine() {
+        // A kernel prepared by one CG backend and run through another
+        // backend's `run_prepared` draws the *running* backend's noise: the
+        // forwarding chain Box<dyn Backend> → JtcBackend → JtcEngine must
+        // not fall back to the default (which would use the preparing
+        // engine's bound stream).
+        let signal: Vec<f64> = (0..32).map(|i| ((i as f64) * 0.3).sin() + 1.0).collect();
+        let kernel = vec![0.2, 0.4, 0.2];
+        let base = BackendSpec::photofourier_cg(64).instantiate().unwrap();
+        let prepared = base
+            .reseeded(1)
+            .prepare_kernel(&kernel, signal.len())
+            .unwrap();
+        let via_box = base
+            .reseeded(2)
+            .run_prepared(&*prepared, None, &signal, None);
+
+        let engine = cg_engine(64, 2);
+        let direct = engine.run_prepared(&*prepared, None, &signal, None);
+        assert_eq!(via_box, direct);
+        assert_eq!(engine.noise().unwrap().calls(), 1);
+        // The preparing backend's stream was not touched: its first noisy
+        // correlation is still call 0 of seed 1.
+        let bound = prepared.correlate_valid(&signal);
+        let again = cg_engine(64, 1)
+            .prepare_kernel(&kernel, signal.len())
+            .unwrap();
+        assert_eq!(bound, again.correlate_valid(&signal));
+        assert_ne!(bound, via_box, "different seeds draw different noise");
     }
 
     #[test]

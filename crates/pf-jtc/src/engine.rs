@@ -11,18 +11,19 @@
 //!   accumulation defers the read-out, which is exactly the mechanism that
 //!   restores accuracy in Figure 7.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use pf_photonics::adc::Adc;
 use pf_photonics::dac::Dac;
-use pf_photonics::detector::SensingNoise;
-use pf_tiling::{Conv1dEngine, PreparedConv1d};
+use pf_photonics::detector::KeyedNoise;
+use pf_telemetry::StageAcc;
+use pf_tiling::{Conv1dEngine, PreparedConv1d, PreparedSignal};
 use serde::{Deserialize, Serialize};
 
 use crate::correlator::JtcSimulator;
 use crate::error::JtcError;
-use crate::prepared::PreparedKernel;
+use crate::prepared::{NoisyKernel, PreparedKernel};
 
 /// Configuration of the non-idealities applied by a [`JtcEngine`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -70,22 +71,24 @@ impl JtcEngineConfig {
 /// A [`Conv1dEngine`] that routes every 1D convolution through the simulated
 /// JTC optics with configurable quantisation and noise.
 ///
-/// Cloning is cheap and clones *share* the sensing-noise stream (the `Arc`
-/// below is cloned, not the stream state): interleaved calls across clones
-/// draw from one seeded sequence in call order, exactly as if they had gone
-/// through the original engine. This is what lets callers hold one engine
-/// per parallelism grain without changing stochastic replay semantics.
+/// Cloning is cheap and clones *share* the sensing-noise stream's call
+/// counter: interleaved calls across clones draw from one seeded sequence
+/// in call order, exactly as if they had gone through the original engine.
+/// This is what lets callers hold one engine per parallelism grain without
+/// changing stochastic replay semantics. [`JtcEngine::reseeded`] is the
+/// opposite: a copy with a stream of its own.
 #[derive(Debug, Clone)]
 pub struct JtcEngine {
     simulator: JtcSimulator,
     config: JtcEngineConfig,
     input_dac: Option<Dac>,
     output_adc: Option<Adc>,
-    /// The seeded sensing-noise stream, behind an `Arc` so prepared kernels
-    /// handed out by this engine draw from the *same* stream in call order
-    /// (which is what makes the cached-spectrum path replay bit-identically
-    /// to per-call preparation under a fixed seed).
-    noise: Option<Arc<Mutex<SensingNoise>>>,
+    /// The seeded sensing-noise stream. Every noisy correlation this engine
+    /// (or a clone) runs claims the next row of it — prepared kernels
+    /// included, since the executor runs them through
+    /// [`Conv1dEngine::run_prepared`] — so the cached-spectrum path replays
+    /// bit-identically to per-call preparation under a fixed seed.
+    noise: Option<KeyedNoise>,
 }
 
 impl JtcEngine {
@@ -106,11 +109,7 @@ impl JtcEngine {
             None => None,
         };
         let noise = match config.sensing_snr_db {
-            Some(snr) => Some(Arc::new(Mutex::new(SensingNoise::from_snr_db(
-                snr,
-                1.0,
-                config.noise_seed,
-            )?))),
+            Some(snr) => Some(KeyedNoise::from_snr_db(snr, 1.0, config.noise_seed)?),
             None => None,
         };
         Ok(Self {
@@ -136,6 +135,30 @@ impl JtcEngine {
         &self.config
     }
 
+    /// The sensing-noise stream (`None` on noise-free engines).
+    pub fn noise(&self) -> Option<&KeyedNoise> {
+        self.noise.as_ref()
+    }
+
+    /// A copy of this engine whose noise stream starts afresh under
+    /// `noise_seed`: the same as building the engine from its configuration
+    /// with that seed, without re-validating the converters. The copy
+    /// shares no state with `self`, and prepares exactly the same kernels,
+    /// so it can run on a prepared-kernel cache `self` filled. Noise-free
+    /// engines only record the seed.
+    pub fn reseeded(&self, noise_seed: u64) -> Self {
+        Self {
+            simulator: self.simulator,
+            config: JtcEngineConfig {
+                noise_seed,
+                ..self.config.clone()
+            },
+            input_dac: self.input_dac.clone(),
+            output_adc: self.output_adc.clone(),
+            noise: self.noise.as_ref().map(|n| n.reseeded(noise_seed)),
+        }
+    }
+
     /// Runs one JTC correlation with the configured non-idealities and
     /// returns the valid cross-correlation.
     ///
@@ -146,25 +169,23 @@ impl JtcEngine {
         let (signal_q, s_scale) = quantize_through_dac(self.input_dac.as_ref(), signal);
         let (kernel_q, k_scale) = quantize_through_dac(self.input_dac.as_ref(), kernel);
         let mut out = self.simulator.correlate(&signal_q, &kernel_q)?;
-
-        // Undo the normalisation applied before the DACs.
-        let rescale = s_scale * k_scale;
-        for v in &mut out {
-            *v *= rescale;
-        }
-        apply_sensing_noise(&mut out, self.noise.as_deref());
-        apply_output_adc(&mut out, self.output_adc.as_ref());
+        condition_output(
+            &mut out,
+            s_scale * k_scale,
+            self.noise.as_ref(),
+            self.output_adc.as_ref(),
+        );
         Ok(out)
     }
 
     /// Prepares `kernel` (DAC-quantised once, spectrum computed once) for
     /// repeated correlation against signals of exactly `signal_len` samples.
     ///
-    /// Noisy engines hand the prepared kernel a reference to their own
-    /// sensing-noise stream, so the prepared path consumes exactly the
-    /// stream the unprepared path would.
+    /// The prepared kernel is deterministic; [`JtcEngine::correlate_prepared`]
+    /// adds this engine's sensing noise, consuming exactly the stream the
+    /// unprepared path would.
     ///
-    /// See [`PreparedKernel`] and [`JtcEngine::correlate_prepared`].
+    /// See [`PreparedKernel`].
     ///
     /// # Errors
     ///
@@ -178,16 +199,14 @@ impl JtcEngine {
             k_scale,
             self.input_dac.clone(),
             self.output_adc.clone(),
-            self.noise.clone(),
         ))
     }
 
     /// Runs one JTC correlation through a kernel prepared with
     /// [`JtcEngine::prepare`], with the engine's full signal chain (DAC
     /// quantisation, sensing noise, ADC quantisation). The noise samples
-    /// are drawn from **this engine's** stream (which, for kernels prepared
-    /// by this engine, is the same stream [`PreparedKernel::correlate`]
-    /// uses).
+    /// are drawn from **this engine's** stream, whichever engine prepared
+    /// the kernel.
     ///
     /// Equivalent to [`JtcEngine::correlate`] with the prepared kernel, up
     /// to FFT rounding (the prepared optics path is documented on
@@ -202,59 +221,89 @@ impl JtcEngine {
         signal: &[f64],
         prepared: &PreparedKernel,
     ) -> Result<Vec<f64>, JtcError> {
-        prepared.correlate_with_noise(signal, self.noise.as_deref())
+        prepared.run(None, signal, None, self.noise.as_ref())
     }
 }
 
-/// Adds photodetector sensing noise, relative to the output RMS, drawing
-/// from the given stream in output order. Shared by the engine's unprepared
-/// path and [`PreparedKernel`]'s prepared paths: both must consume the
-/// stream identically for seeded replay to hold.
-pub(crate) fn apply_sensing_noise(out: &mut [f64], noise: Option<&Mutex<SensingNoise>>) {
-    if let Some(noise) = noise {
-        let rms = (out.iter().map(|x| x * x).sum::<f64>() / out.len().max(1) as f64).sqrt();
-        if rms > 0.0 {
-            let mut guard = noise.lock();
+/// Output conditioning shared by every engine path, in place: undo the
+/// pre-DAC normalisation (`rescale`), add sensing noise relative to the
+/// output RMS, and quantise through the ADC against the row's own full
+/// scale. A noisy row claims one call index from the stream, and only when
+/// its RMS is non-zero; the unprepared and prepared paths both condition
+/// here, so they consume the stream identically and seeded replay holds.
+pub(crate) fn condition_output(
+    out: &mut [f64],
+    rescale: f64,
+    noise: Option<&KeyedNoise>,
+    adc: Option<&Adc>,
+) {
+    match noise {
+        Some(noise) => {
+            let mut sum_sq = 0.0;
             for v in out.iter_mut() {
-                let sample = guard.perturb(0.0);
-                *v += sample * rms;
+                *v *= rescale;
+                sum_sq += *v * *v;
+            }
+            let rms = (sum_sq / out.len().max(1) as f64).sqrt();
+            if rms > 0.0 {
+                noise.draw().add_scaled(out, rms);
+            }
+        }
+        None => {
+            for v in out.iter_mut() {
+                *v *= rescale;
             }
         }
     }
-}
-
-/// Normalises an operand to `[-1, 1]`, passes it through the DAC (if
-/// present) and returns the quantised values together with the scale factor
-/// to undo the normalisation.
-pub(crate) fn quantize_through_dac(dac: Option<&Dac>, values: &[f64]) -> (Vec<f64>, f64) {
-    let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if max_abs == 0.0 {
-        return (values.to_vec(), 1.0);
-    }
-    match dac {
-        None => (values.to_vec(), 1.0),
-        Some(dac) => {
-            // The DAC generates magnitudes; signs ride along as the phase
-            // of the modulated field (or as the pseudo-negative split at
-            // the architecture level).
-            let quantised: Vec<f64> = values
-                .iter()
-                .map(|&v| dac.generate(v.abs() / max_abs) * v.signum())
-                .collect();
-            (quantised, max_abs)
-        }
-    }
-}
-
-/// Output ADC quantisation against the batch's own full scale.
-pub(crate) fn apply_output_adc(out: &mut Vec<f64>, adc: Option<&Adc>) {
     if let Some(adc) = adc {
         let full_scale = out
             .iter()
             .fold(0.0f64, |m, &v| m.max(v.abs()))
             .max(f64::EPSILON);
-        *out = adc.quantize_slice(out, full_scale);
+        adc.quantize_in_place(out, full_scale);
     }
+}
+
+/// Normalises an operand to `[-1, 1]`, passes it through the DAC (if
+/// present) and returns the quantised values together with the scale factor
+/// to undo the normalisation. Without a DAC the operand passes through
+/// uncopied.
+pub(crate) fn quantize_through_dac<'a>(
+    dac: Option<&Dac>,
+    values: &'a [f64],
+) -> (Cow<'a, [f64]>, f64) {
+    if dac.is_none() {
+        return (Cow::Borrowed(values), 1.0);
+    }
+    let mut quantised = Vec::with_capacity(values.len());
+    let scale = quantize_into(dac, values, &mut quantised);
+    (Cow::Owned(quantised), scale)
+}
+
+/// [`quantize_through_dac`] appending the quantised values to `out` (the
+/// batched signal preparation packs many rows into one buffer).
+pub(crate) fn quantize_into(dac: Option<&Dac>, values: &[f64], out: &mut Vec<f64>) -> f64 {
+    let start = out.len();
+    out.extend_from_slice(values);
+    let Some(dac) = dac else {
+        return 1.0;
+    };
+    let max_abs = values.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
+    if max_abs == 0.0 {
+        return 1.0;
+    }
+    // The DAC generates magnitudes; signs ride along as the phase of the
+    // modulated field (or as the pseudo-negative split at the architecture
+    // level).
+    let quantised = &mut out[start..];
+    for q in quantised.iter_mut() {
+        *q = q.abs() / max_abs;
+    }
+    dac.generate_in_place(quantised);
+    for (q, v) in quantised.iter_mut().zip(values) {
+        *q *= v.signum();
+    }
+    max_abs
 }
 
 impl Conv1dEngine for JtcEngine {
@@ -285,14 +334,38 @@ impl Conv1dEngine for JtcEngine {
     }
 
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
-        // Noisy engines prepare too: the prepared kernel shares this
-        // engine's seeded noise stream and draws from it in call order, so
-        // under a fixed seed the cached deterministic spectrum stage is
-        // bit-identical to preparing afresh per call. Call order stays
-        // serial because `is_deterministic()` reports false.
-        self.prepare(kernel, signal_len)
-            .ok()
-            .map(|p| Arc::new(p) as Arc<dyn PreparedConv1d>)
+        // Noisy engines prepare too. The kernel itself is deterministic;
+        // it comes bound to this engine's stream only so that a caller
+        // driving it on its own still draws the engine's noise. The
+        // executor runs it through `run_prepared`, on whichever engine
+        // executes the call. Call order stays serial because
+        // `is_deterministic()` reports false.
+        let kernel = self.prepare(kernel, signal_len).ok()?;
+        Some(match &self.noise {
+            None => Arc::new(kernel),
+            Some(noise) => Arc::new(NoisyKernel {
+                kernel,
+                noise: noise.clone(),
+            }),
+        })
+    }
+
+    fn run_prepared(
+        &self,
+        prepared: &dyn PreparedConv1d,
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        // The noise comes from this engine, not from whichever engine
+        // prepared (and bound) the kernel: one prepared-kernel cache serves
+        // every reseeded copy of the engine.
+        match prepared.as_any().and_then(PreparedKernel::from_any) {
+            Some(kernel) => kernel
+                .run(shared, signal, acc, self.noise.as_ref())
+                .unwrap_or_default(),
+            None => prepared.dispatch(shared, signal, acc),
+        }
     }
 }
 
@@ -491,6 +564,50 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "round {round}");
             }
         }
+    }
+
+    #[test]
+    fn reseeded_engines_share_prepared_kernels_and_keep_their_own_streams() {
+        let config = JtcEngineConfig {
+            capacity: 32,
+            dac_bits: Some(8),
+            adc_bits: Some(8),
+            sensing_snr_db: Some(20.0),
+            noise_seed: 0,
+        };
+        let kernel = [0.5, -1.0, 0.25];
+        let base = JtcEngine::new(config.clone()).unwrap();
+        let shared = Conv1dEngine::prepare_kernel(&base, &kernel, 16).unwrap();
+        for seed in [3u64, 4] {
+            // A reseeded copy running the base engine's prepared kernel
+            // replays an engine built with that seed and its own kernel.
+            let runner = base.reseeded(seed);
+            assert_eq!(runner.config().noise_seed, seed);
+            let fresh = JtcEngine::new(JtcEngineConfig {
+                noise_seed: seed,
+                ..config.clone()
+            })
+            .unwrap();
+            let own = fresh.prepare(&kernel, 16).unwrap();
+            for round in 0..3u64 {
+                let signal: Vec<f64> = (0..16)
+                    .map(|i| ((i as f64 + round as f64) * 0.7).cos())
+                    .collect();
+                let a = runner.run_prepared(&*shared, None, &signal, None);
+                let b = fresh.correlate_prepared(&signal, &own).unwrap();
+                assert_eq!(a.len(), 14);
+                for (x, y) in a.iter().zip(&b) {
+                    assert_eq!(x.to_bits(), y.to_bits(), "seed {seed} round {round}");
+                }
+            }
+            assert_eq!(runner.noise().unwrap().calls(), 3);
+        }
+        // Running on a kernel never draws from the stream it is bound to.
+        assert_eq!(base.noise().unwrap().calls(), 0);
+        // Noise-free engines only record the seed.
+        let ideal = JtcEngine::ideal(16).unwrap().reseeded(5);
+        assert!(ideal.noise().is_none());
+        assert!(ideal.is_deterministic());
     }
 
     #[test]

@@ -35,26 +35,31 @@
 //!   plan over N planar rows, bit-identical per row to the one-at-a-time
 //!   path.
 //!
-//! [`PreparedKernel`] layers the engine's DAC/ADC quantisation (and, for
-//! noisy engines, the shared sensing-noise stream) on top and plugs into
-//! row tiling through [`pf_tiling::PreparedConv1d`], including the
+//! [`PreparedKernel`] layers the engine's DAC/ADC quantisation on top and
+//! plugs into row tiling through [`pf_tiling::PreparedConv1d`], including the
 //! signal-sharing half of that trait
 //! ([`prepare_signal`](pf_tiling::PreparedConv1d::prepare_signal) /
 //! [`correlate_with_signal`](pf_tiling::PreparedConv1d::correlate_with_signal)).
 //! Every fast path is bit-identical to its unshared counterpart: the shared
 //! transform is byte-copied, not recomputed, so the floating-point operation
 //! sequence does not change.
+//!
+//! A prepared kernel holds deterministic state only. Sensing noise belongs
+//! to the engine that runs the correlation
+//! ([`JtcEngine::run_prepared`](pf_tiling::Conv1dEngine::run_prepared)), so
+//! one prepared-kernel cache serves every engine of a configuration, however
+//! each is seeded.
 
+use std::any::Any;
 use std::sync::Arc;
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use pf_dsp::complex::Complex;
 use pf_dsp::plan::RealFftPlan;
 use pf_dsp::scratch::{with_spectrum_scratch, SpectrumScratch};
 use pf_photonics::adc::Adc;
 use pf_photonics::dac::Dac;
-use pf_photonics::detector::SensingNoise;
+use pf_photonics::detector::KeyedNoise;
 use pf_telemetry::{Stage, StageAcc, StageTotals};
 use pf_tiling::{PreparedConv1d, PreparedSignal};
 
@@ -502,17 +507,17 @@ impl StageTimes {
 
 /// An engine-level prepared kernel: the optics-level [`PreparedSpectrum`]
 /// plus the mixed-signal state of the [`JtcEngine`](crate::engine::JtcEngine)
-/// that prepared it — DAC/ADC quantisation and, for noisy engines, a handle
-/// to the engine's seeded sensing-noise stream.
+/// that prepared it — the kernel's pre-DAC scale and copies of the DAC and
+/// ADC. All of it is deterministic.
 ///
 /// Implements [`pf_tiling::PreparedConv1d`], so row tiling can reuse it
 /// across every tile of a convolution — and, through the convolver's
-/// prepared-kernel cache, across every image of a batch. Noisy engines'
-/// prepared kernels draw their per-call noise from the **engine's** stream
-/// in call order, so under a fixed seed the cached-spectrum path replays
-/// bit-identically to preparing the kernel afresh on every call; call order
-/// stays serial because the engine reports
-/// [`is_deterministic`](pf_tiling::Conv1dEngine::is_deterministic)` == false`.
+/// prepared-kernel cache, across every image of a batch and every engine of
+/// the same configuration. Driven on its own it runs the noise-free chain;
+/// a noisy engine adds its sensing noise when the tiled executor runs the
+/// kernel through
+/// [`Conv1dEngine::run_prepared`](pf_tiling::Conv1dEngine::run_prepared)
+/// or [`JtcEngine::correlate_prepared`](crate::engine::JtcEngine::correlate_prepared).
 #[derive(Debug, Clone)]
 pub struct PreparedKernel {
     spectrum: PreparedSpectrum,
@@ -522,10 +527,6 @@ pub struct PreparedKernel {
     dac: Option<Dac>,
     /// Copy of the engine's output ADC.
     adc: Option<Adc>,
-    /// The preparing engine's sensing-noise stream (shared, not copied:
-    /// the prepared path must consume the same stream the unprepared
-    /// engine paths do).
-    noise: Option<Arc<Mutex<SensingNoise>>>,
 }
 
 /// The engine-level shared signal state handed out through
@@ -550,14 +551,12 @@ impl PreparedKernel {
         k_scale: f64,
         dac: Option<Dac>,
         adc: Option<Adc>,
-        noise: Option<Arc<Mutex<SensingNoise>>>,
     ) -> Self {
         Self {
             spectrum,
             k_scale,
             dac,
             adc,
-            noise,
         }
     }
 
@@ -571,30 +570,14 @@ impl PreparedKernel {
         self.k_scale
     }
 
-    /// Runs the full signal chain (DAC → optics → rescale → sensing noise →
-    /// ADC) against `signal`. Deterministic engines carry no noise stream,
-    /// so their chain is a pure function of the input.
+    /// Runs the noise-free chain (DAC → optics → rescale → ADC) against
+    /// `signal`: a pure function of the input.
     ///
     /// # Errors
     ///
     /// Same conditions as [`PreparedSpectrum::correlate`].
     pub fn correlate(&self, signal: &[f64]) -> Result<Vec<f64>, JtcError> {
-        self.correlate_with_noise(signal, self.noise.as_deref())
-    }
-
-    /// The full chain with an explicit noise stream (used by
-    /// [`JtcEngine::correlate_prepared`](crate::engine::JtcEngine::correlate_prepared)
-    /// so the inherent and trait paths share one implementation and stay
-    /// bit-identical).
-    pub(crate) fn correlate_with_noise(
-        &self,
-        signal: &[f64],
-        noise: Option<&Mutex<SensingNoise>>,
-    ) -> Result<Vec<f64>, JtcError> {
-        let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
-        let mut out = self.spectrum.correlate(&signal_q)?;
-        self.condition(&mut out, s_scale, noise);
-        Ok(out)
+        self.run(None, signal, None, None)
     }
 
     /// Like [`PreparedKernel::correlate`], accumulating per-stage wall time
@@ -611,42 +594,75 @@ impl PreparedKernel {
         times: &mut StageTimes,
     ) -> Result<Vec<f64>, JtcError> {
         let mut acc = StageAcc::start();
-        let out = self.correlate_staged_acc(signal, &mut acc);
+        let out = self.run(None, signal, Some(&mut acc), None);
         times.add_ns(acc.ns());
         out
     }
 
-    /// The staged chain marking boundaries on a caller-held [`StageAcc`]
-    /// (one clock read per boundary; see the accumulator's docs for why
-    /// loops hold one). Bit-identical to [`PreparedKernel::correlate`].
-    fn correlate_staged_acc(
+    /// The concrete prepared kernel behind a type-erased one from
+    /// [`JtcEngine::prepare_kernel`](pf_tiling::Conv1dEngine::prepare_kernel):
+    /// either a plain kernel or one bound to a noise stream.
+    pub(crate) fn from_any(any: &dyn Any) -> Option<&Self> {
+        any.downcast_ref::<Self>()
+            .or_else(|| any.downcast_ref::<NoisyKernel>().map(|bound| &bound.kernel))
+    }
+
+    /// The whole chain — every engine-level path runs through here, so
+    /// they stay bit-identical to each other. `shared` is a transform from
+    /// [`PreparedConv1d::prepare_signal`] (a foreign one falls back to the
+    /// full chain on `signal`), `acc` marks stages when tracing, and
+    /// `noise` is the stream of the engine running the correlation.
+    pub(crate) fn run(
         &self,
+        shared: Option<&dyn PreparedSignal>,
         signal: &[f64],
-        acc: &mut StageAcc,
+        mut acc: Option<&mut StageAcc>,
+        noise: Option<&KeyedNoise>,
     ) -> Result<Vec<f64>, JtcError> {
-        let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
-        acc.mark(Stage::DacAdc);
-
-        let spectrum = self.spectrum.signal_spectrum(&signal_q)?;
-        acc.mark(Stage::SignalFft);
-
-        let mut out = self
-            .spectrum
-            .correlate_spectrum_impl(&spectrum, Some(acc))?;
-
-        self.condition(&mut out, s_scale, self.noise.as_deref());
-        acc.mark(Stage::DacAdc);
+        // No signal-FFT stage on the shared path: the shared transform was
+        // computed (and attributed to signal_fft) where it was prepared —
+        // the executor's prepare_signal / prepare_signal_batch call sites.
+        let from_shared = shared
+            .and_then(|sig| sig.as_any().downcast_ref::<SharedSignal>())
+            .and_then(|sig| {
+                self.spectrum
+                    .correlate_spectrum_impl(&sig.spectrum, acc.as_deref_mut())
+                    .ok()
+                    .map(|out| (out, sig.s_scale))
+            });
+        let (mut out, s_scale) = match from_shared {
+            Some(done) => done,
+            None => self.optics(signal, acc.as_deref_mut())?,
+        };
+        crate::engine::condition_output(&mut out, s_scale * self.k_scale, noise, self.adc.as_ref());
+        if let Some(acc) = acc {
+            acc.mark(Stage::DacAdc);
+        }
         Ok(out)
     }
 
-    /// Output conditioning shared by every engine-level path: rescale,
-    /// sensing noise (when a stream is attached), ADC quantisation.
-    fn condition(&self, out: &mut Vec<f64>, s_scale: f64, noise: Option<&Mutex<SensingNoise>>) {
-        for v in out.iter_mut() {
-            *v *= s_scale * self.k_scale;
-        }
-        crate::engine::apply_sensing_noise(out, noise);
-        crate::engine::apply_output_adc(out, self.adc.as_ref());
+    /// The deterministic front of the chain on an unshared signal: input
+    /// DAC, first lens, spectrum apply and second lens, with stage
+    /// boundaries marked on `acc` when tracing (one clock read per
+    /// boundary). Returns the correlation lobe and the signal's pre-DAC
+    /// scale.
+    fn optics(
+        &self,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Result<(Vec<f64>, f64), JtcError> {
+        let (signal_q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), signal);
+        let out = match acc {
+            None => self.spectrum.correlate(&signal_q)?,
+            Some(acc) => {
+                acc.mark(Stage::DacAdc);
+                let spectrum = self.spectrum.signal_spectrum(&signal_q)?;
+                acc.mark(Stage::SignalFft);
+                self.spectrum
+                    .correlate_spectrum_impl(&spectrum, Some(acc))?
+            }
+        };
+        Ok((out, s_scale))
     }
 }
 
@@ -655,10 +671,14 @@ impl PreparedConv1d for PreparedKernel {
         self.spectrum.signal_len
     }
 
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
+    }
+
     fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
         // Shape-only contract, like `Conv1dEngine::correlate_valid`: a
         // mismatched call degenerates to an empty result.
-        self.correlate(signal).unwrap_or_default()
+        self.run(None, signal, None, None).unwrap_or_default()
     }
 
     fn signal_key(&self) -> Option<u64> {
@@ -694,12 +714,10 @@ impl PreparedConv1d for PreparedKernel {
         // it stays per-row (bit-identical to `prepare_signal`); only the
         // transforms are batched.
         let mut packed = Vec::with_capacity(signals.len());
-        let mut scales = Vec::with_capacity(count);
-        for chunk in signals.chunks_exact(row) {
-            let (q, s_scale) = crate::engine::quantize_through_dac(self.dac.as_ref(), chunk);
-            packed.extend_from_slice(&q);
-            scales.push(s_scale);
-        }
+        let scales: Vec<f64> = signals
+            .chunks_exact(row)
+            .map(|chunk| crate::engine::quantize_into(self.dac.as_ref(), chunk, &mut packed))
+            .collect();
         let spectra = self.spectrum.signal_spectra_batch(&packed, count).ok()?;
         Some(
             spectra
@@ -713,23 +731,14 @@ impl PreparedConv1d for PreparedKernel {
     }
 
     fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
-        let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() else {
-            return self.correlate_valid(signal);
-        };
-        match self.spectrum.correlate_spectrum(&shared.spectrum) {
-            Ok(mut out) => {
-                self.condition(&mut out, shared.s_scale, self.noise.as_deref());
-                out
-            }
-            // Geometry mismatch (foreign spectrum): recompute from scratch.
-            Err(_) => self.correlate_valid(signal),
-        }
+        self.run(Some(prepared), signal, None, None)
+            .unwrap_or_default()
     }
 
     fn correlate_valid_acc(&self, signal: &[f64], acc: &mut StageAcc) -> Vec<f64> {
         // The staged path is bit-identical to the fused one (see
         // `correlate_staged`), so tracing never perturbs results.
-        self.correlate_staged_acc(signal, acc).unwrap_or_default()
+        self.run(None, signal, Some(acc), None).unwrap_or_default()
     }
 
     fn correlate_with_signal_acc(
@@ -738,23 +747,76 @@ impl PreparedConv1d for PreparedKernel {
         signal: &[f64],
         acc: &mut StageAcc,
     ) -> Vec<f64> {
-        let Some(shared) = prepared.as_any().downcast_ref::<SharedSignal>() else {
-            return self.correlate_valid_acc(signal, acc);
-        };
-        // No signal-FFT stage here: the shared transform was computed (and
-        // attributed to signal_fft) where it was prepared — the executor's
-        // prepare_signal / prepare_signal_batch call sites.
-        match self
-            .spectrum
-            .correlate_spectrum_impl(&shared.spectrum, Some(acc))
-        {
-            Ok(mut out) => {
-                self.condition(&mut out, shared.s_scale, self.noise.as_deref());
-                acc.mark(Stage::DacAdc);
-                out
-            }
-            Err(_) => self.correlate_valid_acc(signal, acc),
-        }
+        self.run(Some(prepared), signal, Some(acc), None)
+            .unwrap_or_default()
+    }
+}
+
+/// A [`PreparedKernel`] bound to a noisy engine's sensing-noise stream:
+/// what [`JtcEngine::prepare_kernel`](pf_tiling::Conv1dEngine::prepare_kernel)
+/// hands out on a noisy engine, so a caller driving the kernel on its own
+/// still draws the engine's noise, in call order. The tiled executor never
+/// uses the binding — it runs every prepared kernel through the running
+/// engine's [`run_prepared`](pf_tiling::Conv1dEngine::run_prepared), which
+/// draws from that engine's stream instead.
+#[derive(Debug)]
+pub(crate) struct NoisyKernel {
+    pub(crate) kernel: PreparedKernel,
+    pub(crate) noise: KeyedNoise,
+}
+
+impl PreparedConv1d for NoisyKernel {
+    fn signal_len(&self) -> usize {
+        self.kernel.signal_len()
+    }
+
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
+    }
+
+    fn correlate_valid(&self, signal: &[f64]) -> Vec<f64> {
+        self.kernel
+            .run(None, signal, None, Some(&self.noise))
+            .unwrap_or_default()
+    }
+
+    fn signal_key(&self) -> Option<u64> {
+        self.kernel.signal_key()
+    }
+
+    fn prepare_signal(&self, signal: &[f64]) -> Option<Arc<dyn PreparedSignal>> {
+        self.kernel.prepare_signal(signal)
+    }
+
+    fn prepare_signal_batch(
+        &self,
+        signals: &[f64],
+        count: usize,
+    ) -> Option<Vec<Arc<dyn PreparedSignal>>> {
+        self.kernel.prepare_signal_batch(signals, count)
+    }
+
+    fn correlate_with_signal(&self, prepared: &dyn PreparedSignal, signal: &[f64]) -> Vec<f64> {
+        self.kernel
+            .run(Some(prepared), signal, None, Some(&self.noise))
+            .unwrap_or_default()
+    }
+
+    fn correlate_valid_acc(&self, signal: &[f64], acc: &mut StageAcc) -> Vec<f64> {
+        self.kernel
+            .run(None, signal, Some(acc), Some(&self.noise))
+            .unwrap_or_default()
+    }
+
+    fn correlate_with_signal_acc(
+        &self,
+        prepared: &dyn PreparedSignal,
+        signal: &[f64],
+        acc: &mut StageAcc,
+    ) -> Vec<f64> {
+        self.kernel
+            .run(Some(prepared), signal, Some(acc), Some(&self.noise))
+            .unwrap_or_default()
     }
 }
 
@@ -1000,7 +1062,6 @@ mod tests {
             1.0,
             None,
             None,
-            None,
         );
         let signal: Vec<f64> = (0..48).map(|i| (i as f64 * 0.21).cos()).collect();
         let mut times = StageTimes::default();
@@ -1019,7 +1080,6 @@ mod tests {
         let prep = PreparedKernel::new(
             jtc.prepare_kernel(&[0.3, -0.2, 0.7], 48).unwrap(),
             1.0,
-            None,
             None,
             None,
         );

@@ -231,6 +231,23 @@ impl<E: Conv1dEngine> TiledExecutor<E> {
         &self.config
     }
 
+    /// The 1D backend the executor drives.
+    pub fn engine(&self) -> &E {
+        self.convolver.engine()
+    }
+
+    /// An executor driving `engine` with this one's pipeline, grain,
+    /// telemetry and prepared-kernel cache (shared, not copied; see
+    /// [`TiledConvolver::with_engine`]). This is how a session runs each
+    /// seeded stochastic request on its own noise stream without preparing
+    /// every kernel spectrum again.
+    pub fn with_engine<F: Conv1dEngine>(&self, engine: F) -> TiledExecutor<F> {
+        TiledExecutor {
+            convolver: self.convolver.with_engine(engine),
+            config: self.config,
+        }
+    }
+
     fn conv_planes(
         &self,
         input: &Matrix,

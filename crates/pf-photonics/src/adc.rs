@@ -112,8 +112,16 @@ impl Adc {
     /// Panics if `full_scale` is not positive.
     pub fn quantize(&self, value: f64, full_scale: f64) -> f64 {
         assert!(full_scale > 0.0, "full_scale must be positive");
-        let levels = self.levels() as f64;
-        let step = 2.0 * full_scale / levels;
+        let step = self.step(full_scale);
+        Self::quantize_step(value, full_scale, step)
+    }
+
+    /// Width of one code for the symmetric range `[-full_scale, full_scale]`.
+    fn step(&self, full_scale: f64) -> f64 {
+        2.0 * full_scale / self.levels() as f64
+    }
+
+    fn quantize_step(value: f64, full_scale: f64, step: f64) -> f64 {
         let clipped = value.clamp(-full_scale, full_scale - step);
         let code = ((clipped + full_scale) / step).round();
         code * step - full_scale
@@ -129,6 +137,21 @@ impl Adc {
             .iter()
             .map(|&v| self.quantize(v, full_scale))
             .collect()
+    }
+
+    /// Quantises `values` in place with a shared full-scale range —
+    /// [`Adc::quantize_slice`] without the output allocation, bit-identical
+    /// to it element for element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `full_scale` is not positive.
+    pub fn quantize_in_place(&self, values: &mut [f64], full_scale: f64) {
+        assert!(full_scale > 0.0, "full_scale must be positive");
+        let step = self.step(full_scale);
+        for v in values {
+            *v = Self::quantize_step(*v, full_scale, step);
+        }
     }
 
     /// Worst-case quantisation error (half an LSB) for the given full scale.
@@ -228,6 +251,26 @@ mod tests {
         for (v, q) in vals.iter().zip(&qs) {
             assert_eq!(*q, adc.quantize(*v, 1.0));
         }
+    }
+
+    #[test]
+    fn quantize_in_place_matches_slice_bitwise() {
+        let adc = adc8();
+        let vals: Vec<f64> = (0..64).map(|i| (i as f64 * 0.37).sin() * 1.3).collect();
+        for full_scale in [0.5, 1.0, 1.7] {
+            let mut in_place = vals.clone();
+            adc.quantize_in_place(&mut in_place, full_scale);
+            let sliced = adc.quantize_slice(&vals, full_scale);
+            for (a, b) in in_place.iter().zip(&sliced) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "full_scale must be positive")]
+    fn quantize_in_place_rejects_bad_full_scale() {
+        adc8().quantize_in_place(&mut [0.5], 0.0);
     }
 
     #[test]

@@ -118,6 +118,14 @@ impl Dac {
     pub fn generate_slice(&self, values: &[f64]) -> Vec<f64> {
         values.iter().map(|&v| self.generate(v)).collect()
     }
+
+    /// Converts `values` in place through [`Dac::generate`] —
+    /// [`Dac::generate_slice`] without the output allocation.
+    pub fn generate_in_place(&self, values: &mut [f64]) {
+        for v in values {
+            *v = self.generate(*v);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -170,6 +178,17 @@ mod tests {
         let out = dac.generate_slice(&vals);
         for (v, o) in vals.iter().zip(&out) {
             assert_eq!(*o, dac.generate(*v));
+        }
+    }
+
+    #[test]
+    fn generate_in_place_matches_slice() {
+        let dac = Dac::new(8, 10.0, 1.0).unwrap();
+        let vals = [0.0, 0.1, 0.33, 0.99, 1.2, -0.1];
+        let mut in_place = vals;
+        dac.generate_in_place(&mut in_place);
+        for (a, b) in in_place.iter().zip(dac.generate_slice(&vals)) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

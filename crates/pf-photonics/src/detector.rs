@@ -9,6 +9,9 @@
 //! before a single ADC read-out, which keeps partial-sum accumulation at full
 //! precision and cuts ADC power 16×.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
 use rand::distributions::Distribution;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -234,6 +237,159 @@ impl SensingNoise {
     }
 }
 
+/// Counter-addressed Gaussian sensing noise: the lock-free stream the JTC
+/// engines draw from.
+///
+/// Each noisy correlation claims one call index from a counter that every
+/// clone shares ([`KeyedNoise::draw`]) and fills its whole output row from a
+/// SplitMix64 stream keyed by `(seed, call)`. Standard normals come two at a
+/// time from the Marsaglia polar method, so a pair costs one `ln` and one
+/// `sqrt` and no trigonometry, and both halves are used. A row therefore
+/// depends only on the seed and the row's place in the call order: no lock
+/// is held and no generator state is carried from one row to the next.
+///
+/// [`SensingNoise`] remains the sample-at-a-time reference model.
+#[derive(Debug, Clone)]
+pub struct KeyedNoise {
+    seed: u64,
+    sigma: f64,
+    calls: Arc<AtomicU64>,
+}
+
+impl KeyedNoise {
+    /// Creates a stream with standard deviation `sigma` (relative to the
+    /// signal units it will be added to) and the given seed, at call 0.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `sigma` is negative.
+    pub fn new(sigma: f64, seed: u64) -> Result<Self, PhotonicsError> {
+        if sigma < 0.0 {
+            return Err(PhotonicsError::InvalidParameter {
+                name: "sigma",
+                value: sigma,
+                requirement: "must be non-negative",
+            });
+        }
+        Ok(Self {
+            seed,
+            sigma,
+            calls: Arc::new(AtomicU64::new(0)),
+        })
+    }
+
+    /// Creates a stream whose standard deviation corresponds to the given
+    /// SNR (in dB) for signals with RMS value `signal_rms` (same rule as
+    /// [`SensingNoise::from_snr_db`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `signal_rms` is negative.
+    pub fn from_snr_db(snr_db: f64, signal_rms: f64, seed: u64) -> Result<Self, PhotonicsError> {
+        if signal_rms < 0.0 {
+            return Err(PhotonicsError::InvalidParameter {
+                name: "signal_rms",
+                value: signal_rms,
+                requirement: "must be non-negative",
+            });
+        }
+        Self::new(signal_rms / 10f64.powf(snr_db / 20.0), seed)
+    }
+
+    /// A stream with the same standard deviation under another seed, with a
+    /// counter of its own starting at call 0. Shares nothing with `self`.
+    pub fn reseeded(&self, seed: u64) -> Self {
+        Self {
+            seed,
+            sigma: self.sigma,
+            calls: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    /// Noise standard deviation.
+    pub fn sigma(&self) -> f64 {
+        self.sigma
+    }
+
+    /// How many rows have been drawn so far (across every clone).
+    pub fn calls(&self) -> u64 {
+        self.calls.load(Ordering::Relaxed)
+    }
+
+    /// Claims the next call index and returns its row of noise.
+    pub fn draw(&self) -> NoiseRow {
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        self.row(call)
+    }
+
+    /// The row of noise at call index `call`.
+    fn row(&self, call: u64) -> NoiseRow {
+        NoiseRow {
+            key: splitmix64(splitmix64(self.seed) ^ call),
+            sigma: self.sigma,
+        }
+    }
+}
+
+/// One correlation's worth of sensing noise, handed out by
+/// [`KeyedNoise::draw`]: a stream key and the noise standard deviation.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NoiseRow {
+    key: u64,
+    sigma: f64,
+}
+
+impl NoiseRow {
+    /// Adds `sigma · scale · g[i]` to every element of `out`, where `g` is
+    /// this row's standard-normal block.
+    pub fn add_scaled(&self, out: &mut [f64], scale: f64) {
+        let amplitude = self.sigma * scale;
+        let mut gen = PolarPairs(self.key);
+        let mut pairs = out.chunks_exact_mut(2);
+        for pair in &mut pairs {
+            let (a, b) = gen.next_pair();
+            pair[0] += a * amplitude;
+            pair[1] += b * amplitude;
+        }
+        if let [last] = pairs.into_remainder() {
+            *last += gen.next_pair().0 * amplitude;
+        }
+    }
+}
+
+/// SplitMix64's output mix (Steele, Lea & Flood 2014).
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Standard-normal pairs from the Marsaglia polar method over a SplitMix64
+/// stream whose state starts at the row key.
+struct PolarPairs(u64);
+
+impl PolarPairs {
+    /// Uniform on `[-1, 1)` from the top 53 bits of the next output.
+    fn next_signed_unit(&mut self) -> f64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let bits = splitmix64(self.0) >> 11;
+        bits as f64 * (1.0 / (1u64 << 52) as f64) - 1.0
+    }
+
+    fn next_pair(&mut self) -> (f64, f64) {
+        loop {
+            let u = self.next_signed_unit();
+            let v = self.next_signed_unit();
+            let s = u * u + v * v;
+            if s > 0.0 && s < 1.0 {
+                let f = (-2.0 * s.ln() / s).sqrt();
+                return (u * f, v * f);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +515,86 @@ mod tests {
         let mut noise = SensingNoise::new(0.0, 1).unwrap();
         assert_eq!(noise.perturb(3.5), 3.5);
         assert_eq!(noise.perturb_slice(&[1.0, 2.0]), vec![1.0, 2.0]);
+    }
+
+    fn moments(samples: &[f64]) -> (f64, f64) {
+        let n = samples.len() as f64;
+        let mean = samples.iter().sum::<f64>() / n;
+        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+        (mean, var.sqrt())
+    }
+
+    /// The standard-normal block of `row`.
+    fn standard(row: NoiseRow, len: usize) -> Vec<f64> {
+        let mut out = vec![0.0; len];
+        row.add_scaled(&mut out, 1.0 / row.sigma);
+        out
+    }
+
+    #[test]
+    fn keyed_noise_block_statistics() {
+        // 2e5 samples as 1000 rows of 200 (a row is one correlation's
+        // output). The standard error of the mean is 1/sqrt(2e5) ≈ 0.0022
+        // and of the standard deviation ≈ 0.0016, so the 0.01 bounds sit
+        // more than four standard errors out.
+        let noise = KeyedNoise::new(1.0, 42).unwrap();
+        let mut samples = vec![0.0; 200_000];
+        for row in samples.chunks_exact_mut(200) {
+            noise.draw().add_scaled(row, 1.0);
+        }
+        let (mean, std) = moments(&samples);
+        assert!(mean.abs() < 0.01, "mean {mean}");
+        assert!((std - 1.0).abs() < 0.01, "std {std}");
+        // Tails: about 4.55% of a standard normal lies beyond ±2σ.
+        let beyond = samples.iter().filter(|x| x.abs() > 2.0).count() as f64;
+        let frac = beyond / samples.len() as f64;
+        assert!((frac - 0.0455).abs() < 0.003, "tail fraction {frac}");
+        assert_eq!(noise.calls(), 1000);
+    }
+
+    #[test]
+    fn keyed_noise_rows_are_distinct_by_seed_and_call() {
+        let a = KeyedNoise::new(0.1, 7).unwrap();
+        let b = KeyedNoise::new(0.1, 8).unwrap();
+        let row = |r: NoiseRow| standard(r, 16);
+        let rows: Vec<Vec<f64>> = vec![row(a.row(0)), row(a.row(1)), row(b.row(0)), row(b.row(1))];
+        for i in 0..rows.len() {
+            for j in i + 1..rows.len() {
+                assert_ne!(rows[i], rows[j], "rows {i} and {j} collide");
+            }
+        }
+        // Addressing is pure: the same (seed, call) gives the same bits.
+        assert_eq!(row(a.row(1)), row(KeyedNoise::new(0.5, 7).unwrap().row(1)));
+    }
+
+    #[test]
+    fn keyed_noise_counter_is_shared_by_clones_and_reset_by_reseed() {
+        let noise = KeyedNoise::from_snr_db(20.0, 1.0, 3).unwrap();
+        assert!((noise.sigma() - 0.1).abs() < 1e-12);
+        let clone = noise.clone();
+        assert_eq!(noise.draw(), noise.row(0));
+        assert_eq!(clone.draw(), noise.row(1));
+        assert_eq!(noise.calls(), 2);
+        let other = noise.reseeded(9);
+        assert_eq!(other.calls(), 0);
+        assert_eq!(other.draw(), KeyedNoise::new(0.1, 9).unwrap().row(0));
+        assert_eq!(noise.calls(), 2, "reseeding never advances the original");
+        assert!(KeyedNoise::new(-0.1, 0).is_err());
+        assert!(KeyedNoise::from_snr_db(20.0, -1.0, 0).is_err());
+    }
+
+    #[test]
+    fn keyed_noise_scales_and_odd_rows_use_half_a_pair() {
+        let noise = KeyedNoise::new(0.25, 5).unwrap();
+        let unit = KeyedNoise::new(1.0, 5).unwrap();
+        let g = standard(unit.row(3), 7);
+        let mut scaled = vec![1.0; 7];
+        noise.row(3).add_scaled(&mut scaled, 2.0);
+        for (s, g) in scaled.iter().zip(&g) {
+            assert_eq!(*s, 1.0 + g * 0.5);
+        }
+        // An odd row is the even row's prefix.
+        assert_eq!(&standard(unit.row(3), 8)[..7], &g[..]);
     }
 
     #[test]

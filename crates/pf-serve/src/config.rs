@@ -235,15 +235,21 @@ mod tests {
     #[test]
     fn scaling_hint_redirects_auto_sizing() {
         let host = std::thread::available_parallelism().unwrap().get();
+        // Hints only steer auto-sizing, so start from `workers: 0` (the
+        // spec default is one explicit worker).
+        let auto = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
         // A perfectly-scaling engine on a host-wide pool: one worker.
-        let saturating = ServeConfig::default().with_scaling_hint(ScalingHint {
+        let saturating = auto.with_scaling_hint(ScalingHint {
             pool_threads: host,
             speedup: host as f64,
         });
-        assert_eq!(saturating.effective_workers(), 1.max(host / host));
+        assert_eq!(saturating.effective_workers(), 1);
         // An engine that gains nothing from its pool: one worker per host
         // thread — batch-level concurrency is the only parallelism left.
-        let flat = ServeConfig::default().with_scaling_hint(ScalingHint {
+        let flat = auto.with_scaling_hint(ScalingHint {
             pool_threads: host,
             speedup: 1.0,
         });
@@ -263,6 +269,40 @@ mod tests {
         assert!(ServeConfig::from_spec(&ServingSpec::default())
             .scaling_hint
             .is_none());
-        assert_eq!(flat.to_spec(), ServingSpec::default());
+        assert_eq!(flat.to_spec(), auto.to_spec());
+    }
+
+    #[test]
+    fn auto_sizing_divides_the_host_by_pool_width_or_measured_width() {
+        // The same verdict on a 1-, 2- or 4-core host: every expectation
+        // is derived from the host width, under scoped pools of width
+        // 1, 2 and 4.
+        let host = std::thread::available_parallelism().unwrap().get();
+        let auto = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        // 1.3x on a 4-wide pool occupies two threads' worth of host.
+        let weak = auto.with_scaling_hint(ScalingHint {
+            pool_threads: 4,
+            speedup: 1.3,
+        });
+        for width in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                assert_eq!(rayon::current_num_threads(), width);
+                // No hint: every batch is assumed to fill the pool.
+                assert_eq!(
+                    auto.effective_workers(),
+                    (host / width).max(1),
+                    "width {width}"
+                );
+                // A hint replaces the pool width with the measured one.
+                assert_eq!(weak.effective_workers(), (host / 2).max(1), "width {width}");
+            });
+        }
     }
 }

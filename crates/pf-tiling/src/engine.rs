@@ -75,6 +75,29 @@ pub trait Conv1dEngine: Debug + Sync {
         let _ = (kernel, signal_len);
         None
     }
+
+    /// Runs one correlation through `prepared` — a kernel this engine, or
+    /// an engine of the same configuration, prepared — with this engine's
+    /// per-call state. `shared` is a signal transform from
+    /// [`PreparedConv1d::prepare_signal`], and `acc` marks stages when
+    /// tracing (see `dispatch` on `dyn PreparedConv1d`).
+    ///
+    /// This is the entry point the tiled executor uses, so one cache of
+    /// prepared kernels can serve many engines that differ only in per-call
+    /// state. Stochastic engines override it to draw their sensing noise
+    /// from their own stream rather than from the engine that prepared the
+    /// kernel. The default runs the prepared kernel as is, which is right
+    /// for every deterministic engine. Wrappers that forward
+    /// [`Conv1dEngine::prepare_kernel`] must forward this too.
+    fn run_prepared(
+        &self,
+        prepared: &dyn PreparedConv1d,
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        prepared.dispatch(shared, signal, acc)
+    }
 }
 
 /// An engine-specific transform of one *signal*, reusable across every
@@ -95,6 +118,13 @@ pub trait PreparedSignal: Debug + Send + Sync {
 pub trait PreparedConv1d: Debug + Send + Sync {
     /// The signal length this kernel was prepared for.
     fn signal_len(&self) -> usize;
+
+    /// Downcasting hook for the owning engine's
+    /// [`Conv1dEngine::run_prepared`]. `None` (the default) means the
+    /// engine never needs the concrete type.
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        None
+    }
 
     /// Valid cross-correlation of `signal` (which must have
     /// [`PreparedConv1d::signal_len`] samples) with the prepared kernel.
@@ -210,6 +240,25 @@ pub trait PreparedConv1d: Debug + Send + Sync {
     }
 }
 
+impl dyn PreparedConv1d + '_ {
+    /// Runs the one of the four correlation entry points that matches the
+    /// call: with a shared signal transform or without, traced on `acc` or
+    /// not. What [`Conv1dEngine::run_prepared`] does by default.
+    pub fn dispatch(
+        &self,
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        match (shared, acc) {
+            (Some(sig), Some(acc)) => self.correlate_with_signal_acc(sig, signal, acc),
+            (Some(sig), None) => self.correlate_with_signal(sig, signal),
+            (None, Some(acc)) => self.correlate_valid_acc(signal, acc),
+            (None, None) => self.correlate_valid(signal),
+        }
+    }
+}
+
 /// Exact digital reference backend built on [`pf_dsp::conv::correlate1d`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DigitalEngine;
@@ -320,6 +369,16 @@ impl<E: Conv1dEngine + ?Sized> Conv1dEngine for &E {
 
     fn prepare_kernel(&self, kernel: &[f64], signal_len: usize) -> Option<Arc<dyn PreparedConv1d>> {
         (**self).prepare_kernel(kernel, signal_len)
+    }
+
+    fn run_prepared(
+        &self,
+        prepared: &dyn PreparedConv1d,
+        shared: Option<&dyn PreparedSignal>,
+        signal: &[f64],
+        acc: Option<&mut StageAcc>,
+    ) -> Vec<f64> {
+        (**self).run_prepared(prepared, shared, signal, acc)
     }
 }
 

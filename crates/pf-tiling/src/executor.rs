@@ -242,6 +242,7 @@ struct TilingCounters {
     spectrum_hits: Counter,
     spectrum_misses: Counter,
     conv2d_calls: Counter,
+    kernels_prepared: Counter,
 }
 
 impl TilingCounters {
@@ -252,6 +253,7 @@ impl TilingCounters {
             spectrum_hits: tel.counter("tiling.spectrum_hits"),
             spectrum_misses: tel.counter("tiling.spectrum_misses"),
             conv2d_calls: tel.counter("tiling.conv2d_calls"),
+            kernels_prepared: tel.counter("tiling.kernels_prepared"),
         }
     }
 }
@@ -366,6 +368,26 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
     /// A reference to the underlying backend.
     pub fn engine(&self) -> &E {
         &self.engine
+    }
+
+    /// A convolver driving `engine` with this one's capacity, grain,
+    /// telemetry and **prepared-kernel cache** (the same `Arc`, not a
+    /// copy). Every prepared correlation goes through
+    /// [`Conv1dEngine::run_prepared`] of the engine that runs it, so
+    /// engines that differ only in per-call state — a stochastic engine
+    /// reseeded per request — share one set of prepared kernels, each
+    /// drawing its own noise. `engine` must prepare exactly what this
+    /// convolver's engine prepares (same configuration); the cache is keyed
+    /// by kernel and tile length only.
+    pub fn with_engine<F: Conv1dEngine>(&self, engine: F) -> TiledConvolver<F> {
+        TiledConvolver {
+            engine,
+            n_conv: self.n_conv,
+            grain: self.grain,
+            prep_cache: Arc::clone(&self.prep_cache),
+            telemetry: self.telemetry.clone(),
+            counters: self.counters.clone(),
+        }
     }
 
     /// Builds the tiling plan this convolver would use for the given shapes.
@@ -658,6 +680,7 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         }
         // Build outside the lock: preparation may run an FFT.
         let prep = self.engine.prepare_kernel(kernel, signal_len);
+        self.counters.kernels_prepared.inc();
         let mut cache = self.prep_cache.lock();
         if cache.len() >= Self::PREP_CACHE_CAP {
             cache.clear();
@@ -703,10 +726,9 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
         kernel: &[f64],
         acc: Option<&mut StageAcc>,
     ) -> Vec<f64> {
-        match (prep, acc) {
-            (Some(p), Some(acc)) => p.correlate_valid_acc(signal, acc),
-            (Some(p), None) => p.correlate_valid(signal),
-            (None, _) => self.engine.correlate_valid(signal, kernel),
+        match prep {
+            Some(p) => self.engine.run_prepared(&**p, None, signal, acc),
+            None => self.engine.correlate_valid(signal, kernel),
         }
     }
 
@@ -777,14 +799,18 @@ impl<E: Conv1dEngine> TiledConvolver<E> {
                 if prep.signal_key() == share_key {
                     let measure = consumers.is_multiple_of(Self::STAGE_SAMPLE_STRIDE);
                     consumers += 1;
-                    out.push(match conv_acc.as_mut() {
+                    let conv = match conv_acc.as_mut() {
                         Some(conv) if measure => {
                             sampled += 1;
                             conv.skip();
-                            prep.correlate_with_signal_acc(&**sig, signal, conv)
+                            Some(conv)
                         }
-                        _ => prep.correlate_with_signal(&**sig, signal),
-                    });
+                        _ => None,
+                    };
+                    out.push(
+                        self.engine
+                            .run_prepared(&**prep, Some(&**sig), signal, conv),
+                    );
                     continue;
                 }
             }
@@ -2107,6 +2133,93 @@ mod tests {
         let clone_len = clone.prep_cache.lock().len();
         assert_eq!(original_len, clone_len);
         assert!(Arc::ptr_eq(&original.prep_cache, &clone.prep_cache));
+    }
+
+    /// Runs prepared kernels with a constant added to every output: makes
+    /// it observable which engine's `run_prepared` the executor called.
+    #[derive(Debug, Default)]
+    struct ShiftingRunner {
+        shift: f64,
+        prepares: Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl Conv1dEngine for ShiftingRunner {
+        fn correlate_valid(&self, signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+            DigitalEngine.correlate_valid(signal, kernel)
+        }
+
+        fn prepares_kernels(&self) -> bool {
+            true
+        }
+
+        fn prepare_kernel(
+            &self,
+            kernel: &[f64],
+            signal_len: usize,
+        ) -> Option<Arc<dyn PreparedConv1d>> {
+            self.prepares
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            DigitalEngine.prepare_kernel(kernel, signal_len)
+        }
+
+        fn run_prepared(
+            &self,
+            prepared: &dyn PreparedConv1d,
+            shared: Option<&dyn PreparedSignal>,
+            signal: &[f64],
+            acc: Option<&mut StageAcc>,
+        ) -> Vec<f64> {
+            let mut out = prepared.dispatch(shared, signal, acc);
+            for v in &mut out {
+                *v += self.shift;
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn with_engine_shares_the_cache_and_runs_through_the_new_engine() {
+        let tel = Telemetry::enabled();
+        let engine = CountingPrepEngine::default();
+        let prepares = Arc::clone(&engine.prepares);
+        let original = TiledConvolver::new(engine, 20)
+            .unwrap()
+            .with_telemetry(tel.clone());
+        let input = random_matrix(5, 5, 3);
+        let kernels = [random_matrix(3, 3, 4), random_matrix(3, 3, 5)];
+        let base = original.correlate2d_valid_multi(&input, &kernels).unwrap();
+        let prepared = prepares.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(prepared, 2);
+        assert_eq!(tel.snapshot().counter("tiling.kernels_prepared"), 2);
+
+        let runner = ShiftingRunner {
+            shift: 1.0,
+            ..ShiftingRunner::default()
+        };
+        let runner_prepares = Arc::clone(&runner.prepares);
+        let shifted = original.with_engine(runner);
+        assert!(Arc::ptr_eq(&original.prep_cache, &shifted.prep_cache));
+        assert_eq!(shifted.n_conv(), original.n_conv());
+        assert_eq!(shifted.grain(), original.grain());
+        let out = shifted.correlate2d_valid_multi(&input, &kernels).unwrap();
+        // Every 1D convolution went through the new engine's run_prepared
+        // (each output sample comes from exactly one of them), on the
+        // kernels the first engine prepared: nothing was prepared again.
+        assert_eq!(
+            runner_prepares.load(std::sync::atomic::Ordering::Relaxed),
+            0
+        );
+        assert_eq!(
+            prepares.load(std::sync::atomic::Ordering::Relaxed),
+            prepared
+        );
+        assert_eq!(tel.snapshot().counter("tiling.kernels_prepared"), 2);
+        for (a, b) in base.iter().zip(&out) {
+            for (x, y) in a.data().iter().zip(b.data()) {
+                assert_ne!(x.to_bits(), y.to_bits());
+                assert!((y - x - 1.0).abs() < 1e-12, "{x} -> {y}");
+            }
+        }
     }
 
     /// A backend with no prepared fast path at all (the trait defaults).

@@ -50,5 +50,9 @@ pub mod tiler;
 pub use engine::{Conv1dEngine, DigitalEngine, PreparedConv1d, PreparedSignal};
 pub use error::TilingError;
 pub use executor::{EdgeHandling, ParallelGrain, ThroughputStats, TiledConvolver};
+/// The stage accumulator in the traced [`PreparedConv1d`] and
+/// [`Conv1dEngine::run_prepared`] signatures, re-exported so engine
+/// wrappers need no telemetry dependency of their own.
+pub use pf_telemetry::StageAcc;
 pub use plan::{TilingPlan, TilingVariant};
 pub use tiler::{fill_tile_rows, tile_input_rows, tile_kernel};

@@ -291,30 +291,26 @@ impl Session {
     /// network's kernels by running one zero-valued image through the
     /// pipeline, so the first real request doesn't pay the per-kernel
     /// spectrum preparation (an inference server calls this before
-    /// accepting traffic).
+    /// accepting traffic). After it, a [`Session::run_batch`] prepares no
+    /// new kernel on any backend.
     ///
-    /// On stochastic backends this is a no-op — not because the noisy
-    /// chain can't prepare (since PR 5 it can, against its own seeded
-    /// noise stream), but because stochastic inference always runs on a
-    /// fresh per-request seeded engine ([`Session::run_inference_seeded`])
-    /// whose executor has its own prepared-kernel cache; warming this
-    /// session's cache would not be visible to those requests. Prepared
-    /// kernels embed their engine's noise stream, so the cache cannot be
-    /// shared across seeded engines without cross-contaminating streams.
+    /// Stochastic backends warm the same cache: prepared kernels hold
+    /// deterministic state only, and every seeded request
+    /// ([`Session::run_inference_seeded`]) runs on this cache with an
+    /// engine of its own. The warm-up image runs on a reseeded copy of the
+    /// session engine too, so it advances no noise stream a later call
+    /// draws from — results are the same with or without warm-up.
     ///
     /// # Errors
     ///
     /// Propagates the warm-up inference's error, if any.
     pub fn warmup(&self) -> Result<(), PfError> {
-        if self.is_stochastic() {
-            return Ok(());
-        }
         let zero = Tensor::zeros(vec![
             self.scenario.functional.input_channels,
             self.scenario.functional.input_size,
             self.scenario.functional.input_size,
         ]);
-        let _ = self.run_inference(&zero)?;
+        let _ = self.run_inference_seeded(&zero, 0)?;
         Ok(())
     }
 
@@ -467,18 +463,19 @@ impl Session {
     /// sequentially with each layer's tiles fanned out. Results are
     /// bit-identical either way.
     ///
-    /// Deterministic regardless of thread scheduling: stochastic backends
-    /// (the CG signal chain's sensing noise) get one independently-seeded
-    /// engine per image, keyed by `noise_seed = image index`, instead of
-    /// sharing the session engine's single noise stream across threads
-    /// (always image-grain: per-image engines *are* the image grain, and
-    /// tile dispatch is refused for nondeterministic engines anyway).
-    /// For deterministic backends the result equals per-image
-    /// [`Session::run_inference`] exactly.
+    /// Deterministic regardless of thread scheduling: on stochastic
+    /// backends (the CG signal chain's sensing noise) each image runs
+    /// through [`Session::run_inference_seeded`] with `noise_seed = image
+    /// index`, on an engine of its own instead of the session engine's
+    /// single noise stream (always image-grain: per-image engines *are*
+    /// the image grain, and tile dispatch is refused for nondeterministic
+    /// engines anyway). For deterministic backends the result equals
+    /// per-image [`Session::run_inference`] exactly.
     ///
-    /// On backends with a prepared fast path (the JTC optics), each layer's
-    /// kernel spectra are prepared on first use and reused across **every
-    /// tile of every image of the batch** through the shared executor's
+    /// On backends with a prepared fast path (the JTC optics, CG
+    /// included), each layer's kernel spectra are prepared on first use —
+    /// or by [`Session::warmup`] — and reused across **every tile of every
+    /// image of every batch** through the session executor's
     /// prepared-kernel cache.
     ///
     /// # Errors
@@ -505,7 +502,7 @@ impl Session {
         results.into_iter().collect()
     }
 
-    /// Runs one image on a fresh engine seeded with `noise_seed`.
+    /// Runs one image on an engine seeded with `noise_seed`.
     ///
     /// For deterministic backends this equals [`Session::run_inference`]
     /// exactly (the seed is ignored). For stochastic backends it pins the
@@ -514,6 +511,12 @@ impl Session {
     /// server (seed = admission sequence number) stay reproducible no
     /// matter how work is grouped or scheduled.
     ///
+    /// The image runs on a reseeded copy of the session engine
+    /// ([`Backend::reseeded`]) over the session executor's prepared-kernel
+    /// cache: no kernel spectrum is prepared twice across requests, and
+    /// the result is a function of `(image, noise_seed)` alone — the same
+    /// on a fresh session as on one that has served other requests.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`Session::run_inference`].
@@ -521,16 +524,10 @@ impl Session {
         if !self.is_stochastic() {
             return self.run_inference(image);
         }
-        let backend = self.scenario.backend.instantiate_seeded(noise_seed)?;
-        let executor = TiledExecutor::new(
-            backend,
-            self.scenario.backend.capacity,
-            self.scenario.pipeline,
-        )?
-        .with_telemetry(self.telemetry.clone());
-        let features = self.cnn.features(image, &executor)?;
-        let len = features.len();
-        Ok(Tensor::new(vec![len], features)?)
+        let executor = self
+            .executor
+            .with_engine(self.executor.engine().reseeded(noise_seed));
+        self.infer_on(&executor, image)
     }
 
     /// Evaluates the scenario's network on the scenario's accelerator
@@ -790,8 +787,9 @@ mod tests {
         let seeded = session.run_inference_seeded(&image, 99).unwrap();
         assert_eq!(plain, seeded);
 
-        // Stochastic backend: warmup is a no-op that must not advance the
-        // session engine's noise stream, and seeds pin the result.
+        // Stochastic backend: warmup fills the shared cache without
+        // advancing any noise stream a request draws from, and seeds pin
+        // the result.
         let session = Session::builder()
             .scenario(scenario(BackendKind::PhotofourierCg))
             .build()
@@ -803,6 +801,88 @@ mod tests {
         let c = session.run_inference_seeded(&image, 4).unwrap();
         assert_eq!(a, b, "same seed must reproduce the same features");
         assert_ne!(a, c, "different seeds must differ");
+    }
+
+    fn assert_bits_eq(a: &[Tensor], b: &[Tensor], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.shape(), y.shape(), "{what}");
+            for (p, q) in x.data().iter().zip(y.data()) {
+                assert_eq!(p.to_bits(), q.to_bits(), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_cg_results_do_not_depend_on_session_history() {
+        // A CG session that has warmed up and served other batches shares
+        // its prepared-kernel cache with every seeded request; the result
+        // of (image, seed) must still be exactly what a freshly built
+        // session computes, at every pool width.
+        let images: Vec<Tensor> = (0..3)
+            .map(|i| Tensor::random(vec![1, 16, 16], 0.0, 1.0, 900 + i))
+            .collect();
+        let other: Vec<Tensor> = (0..5)
+            .map(|i| Tensor::random(vec![1, 16, 16], 0.0, 1.0, 950 + i))
+            .collect();
+        let used = Session::builder()
+            .scenario(scenario(BackendKind::PhotofourierCg))
+            .build()
+            .unwrap();
+        used.warmup().unwrap();
+        used.run_batch(&other).unwrap();
+        used.run_inference_seeded(&other[0], 41).unwrap();
+        for width in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let fresh = Session::builder()
+                    .scenario(scenario(BackendKind::PhotofourierCg))
+                    .build()
+                    .unwrap();
+                let what = format!("run_batch at width {width}");
+                assert_bits_eq(
+                    &used.run_batch(&images).unwrap(),
+                    &fresh.run_batch(&images).unwrap(),
+                    &what,
+                );
+                let seeded = |s: &Session| -> Vec<Tensor> {
+                    images
+                        .iter()
+                        .enumerate()
+                        .map(|(i, img)| s.run_inference_seeded(img, 1000 + i as u64).unwrap())
+                        .collect()
+                };
+                let what = format!("run_inference_seeded at width {width}");
+                assert_bits_eq(&seeded(&used), &seeded(&fresh), &what);
+            });
+        }
+    }
+
+    #[test]
+    fn cg_warmup_leaves_no_kernel_to_prepare() {
+        let tel = Telemetry::enabled();
+        let session = Session::builder()
+            .scenario(scenario(BackendKind::PhotofourierCg))
+            .telemetry(tel.clone())
+            .build()
+            .unwrap();
+        let prepared = || tel.snapshot().counter("tiling.kernels_prepared");
+        session.warmup().unwrap();
+        let after_warmup = prepared();
+        assert!(after_warmup > 0, "warmup prepares the network's kernels");
+        let images: Vec<Tensor> = (0..4)
+            .map(|i| Tensor::random(vec![1, 16, 16], 0.0, 1.0, 980 + i))
+            .collect();
+        session.run_batch(&images).unwrap();
+        session.run_inference_seeded(&images[0], 7).unwrap();
+        assert_eq!(
+            prepared(),
+            after_warmup,
+            "a warm CG session prepares nothing"
+        );
     }
 
     #[test]
